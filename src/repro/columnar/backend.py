@@ -12,8 +12,9 @@ vectorized columnar pipeline) is a config choice:
   :class:`~repro.trace.records.DynInst` at a time — unchanged semantics,
   and the golden side of every differential check.
 * ``NumPyBackend`` (:mod:`repro.columnar.numpy_backend`, loaded lazily
-  so the package imports without NumPy) materializes the trace into
-  columnar record batches and answers from vectorized kernels.
+  so the package imports without NumPy) subclasses it: it materializes
+  the trace into columnar record batches and answers the Figure 2 and
+  Figure 5 queries from vectorized kernels, and inherits the rest.
 
 Backends are looked up by name through :func:`get_backend`; the names
 are what :class:`repro.core.CloakingConfig` and harness JobSpec params
@@ -146,7 +147,13 @@ class SimBackend(abc.ABC):
 
 
 class ReferenceBackend(SimBackend):
-    """The existing per-instruction code, unchanged semantics."""
+    """The existing per-instruction code, unchanged semantics.
+
+    Every query interprets the workload itself (``workload.trace``)
+    rather than going through the overridable :meth:`stream`, so a
+    subclass that inherits a query runs it on a fresh interpretation,
+    never on a replay of its own record stream.
+    """
 
     name = "reference"
 
@@ -157,7 +164,7 @@ class ReferenceBackend(SimBackend):
     def trace_summary(self, workload: Workload, scale: float = 1.0,
                       max_instructions: Optional[int] = None) -> TraceSummary:
         instructions = loads = stores = 0
-        for inst in self.stream(workload, scale, max_instructions):
+        for inst in workload.trace(scale, max_instructions):
             instructions += 1
             if inst.is_load:
                 loads += 1
@@ -170,7 +177,7 @@ class ReferenceBackend(SimBackend):
                      max_instructions: Optional[int] = None
                      ) -> List[DependenceProfile]:
         profiler = DependenceProfiler([DDTConfig(size=s) for s in sizes])
-        return profiler.run(self.stream(workload, scale, max_instructions))
+        return profiler.run(workload.trace(scale, max_instructions))
 
     def dependence_pairs(self, workload: Workload, scale: float,
                          config: Optional[DDTConfig] = None,
@@ -178,7 +185,7 @@ class ReferenceBackend(SimBackend):
                          ) -> Set[DependencePair]:
         ddt = DDT(config if config is not None else DDTConfig())
         pairs: Set[DependencePair] = set()
-        for inst in self.stream(workload, scale, max_instructions):
+        for inst in workload.trace(scale, max_instructions):
             if inst.is_load:
                 dep = ddt.observe_load(inst.pc, inst.word_addr)
                 if dep is not None:
@@ -196,7 +203,7 @@ class ReferenceBackend(SimBackend):
             label: RARLocalityAnalysis(max_n=max_n, window=window)
             for label, window in windows.items()
         }
-        for inst in self.stream(workload, scale, max_instructions):
+        for inst in workload.trace(scale, max_instructions):
             for analysis in analyses.values():
                 analysis.observe(inst)
         return {
@@ -215,7 +222,7 @@ class ReferenceBackend(SimBackend):
                                ) -> AddressValueLocalityAnalysis:
         analysis = AddressValueLocalityAnalysis(
             ddt_config if ddt_config is not None else DDTConfig(size=128))
-        for inst in self.stream(workload, scale, max_instructions):
+        for inst in workload.trace(scale, max_instructions):
             analysis.observe(inst)
             if tee is not None:
                 tee(inst)

@@ -1,6 +1,8 @@
 """The ``numpy`` columnar backend: vectorized stages over record batches.
 
-Stage mapping (see ``docs/columnar.md``):
+:class:`NumPyBackend` subclasses
+:class:`~repro.columnar.backend.ReferenceBackend` and overrides only the
+queries that pay for their code when cold (see ``docs/columnar.md``):
 
 * **decode → execute** — :func:`repro.columnar.batch.materialized_trace`
   runs the reference interpreter once per ``(workload, scale, cap)`` and
@@ -8,26 +10,26 @@ Stage mapping (see ``docs/columnar.md``):
   query below is an array pass over that table.
 * **dependence** — :func:`repro.columnar.kernels.ddt_dependences` over
   the memory-access subsequence (sorted per-word index arrays + the
-  shared LRU stack-distance kernel).
+  shared LRU stack-distance kernel): Figure 5 profiles and the
+  default-shape dependence pair sets.
 * **locality** — :func:`repro.columnar.kernels.mru_hits_within` for the
-  Figure 2 recency histogram; per-PC previous-occurrence links for the
-  Figure 7 address/value comparisons (values compared in ``object``
-  columns for exact Python ``==`` semantics — interpreter adds do not
-  wrap, so values can exceed float64's exact-integer range).
-* **predict** — not vectorized: the cloaking engine is replayed
-  per-instruction from the materialized table (``tee``), so predictor
-  semantics stay the reference's by construction.
+  Figure 2 recency histogram.
 
-DDT configurations outside the vectorizable shape (split tables,
-``record_loads=False``, ``record_all_loads=True``, ``touch_on_hit=False``,
-set-associative ways) fall back to the per-instruction DDT replayed from
-the materialized table — correct for every configuration, amortized
-interpretation, no silent divergence.
+Everything else is the inherited reference code, which interprets the
+workload itself and never touches the table cache:
+
+* Figure 7 (``address_value_locality``).  Its cloaking engine (the
+  predict stage) is per-instruction whatever the backend, and feeding
+  it from a replay of the materialized table made the whole cell slower
+  than plain interpretation when cold.
+* DDT configurations outside the vectorizable shape (split tables,
+  ``record_loads=False``, ``record_all_loads=True``,
+  ``touch_on_hit=False``, set-associative ways).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from repro.columnar.backend import (
     DependencePair,
     RARLocalityResult,
     ReferenceBackend,
-    SimBackend,
     TraceSummary,
 )
 from repro.columnar.batch import TraceTable, materialized_trace
@@ -44,26 +45,18 @@ from repro.columnar.kernels import (
     KIND_RAW,
     _is_default_config,
     ddt_dependences,
-    group_links,
     mru_hits_within,
 )
-from repro.dependence.ddt import DDT, DDTConfig
+from repro.dependence.ddt import DDTConfig
 from repro.dependence.detector import DependenceProfile
-from repro.dependence.locality import (
-    AddressValueLocalityAnalysis,
-    LocalityBreakdown,
-)
 from repro.trace.records import DynInst
 from repro.workloads.base import Workload
 
 _KIND_NAME = {KIND_RAW: "RAW", KIND_RAR: "RAR"}
 
-#: vectorized predicate for the reference's ``prev_value is not None`` guard
-_IS_NOT_NONE = np.frompyfunc(lambda v: v is not None, 1, 1)
 
-
-class NumPyBackend(SimBackend):
-    """Vectorized implementation of the backend interface."""
+class NumPyBackend(ReferenceBackend):
+    """Vectorized Figure 2/5 queries; the reference code for the rest."""
 
     name = "numpy"
 
@@ -76,6 +69,7 @@ class NumPyBackend(SimBackend):
 
     def stream(self, workload: Workload, scale: float = 1.0,
                max_instructions: Optional[int] = None) -> Iterator[DynInst]:
+        """The table's round trip (what ``columnar.diff`` checks)."""
         return self.table(workload, scale, max_instructions).to_dyninsts()
 
     def trace_summary(self, workload: Workload, scale: float = 1.0,
@@ -111,9 +105,10 @@ class NumPyBackend(SimBackend):
                          max_instructions: Optional[int] = None
                          ) -> Set[DependencePair]:
         config = config if config is not None else DDTConfig()
-        table = self.table(workload, scale, max_instructions)
         if not _is_default_config(config):
-            return self._pairs_fallback(table, config)
+            return super().dependence_pairs(workload, scale, config,
+                                            max_instructions)
+        table = self.table(workload, scale, max_instructions)
         mem = np.nonzero(table.is_mem)[0]
         word = table.word_addr()[mem]
         is_store = table.is_store[mem]
@@ -129,21 +124,6 @@ class NumPyBackend(SimBackend):
                 kinds.tolist(), source_pc.tolist(), sink_pc.tolist(),
                 words.tolist())
         }
-
-    @staticmethod
-    def _pairs_fallback(table: TraceTable,
-                        config: DDTConfig) -> Set[DependencePair]:
-        ddt = DDT(config)
-        pairs: Set[DependencePair] = set()
-        for inst in table.to_dyninsts():
-            if inst.is_load:
-                dep = ddt.observe_load(inst.pc, inst.word_addr)
-                if dep is not None:
-                    pairs.add((dep.kind.value, dep.source_pc, dep.sink_pc,
-                               dep.word_addr))
-            elif inst.is_store:
-                ddt.observe_store(inst.pc, inst.word_addr)
-        return pairs
 
     # -- locality --------------------------------------------------------
 
@@ -170,56 +150,6 @@ class NumPyBackend(SimBackend):
                 hits_within=[int(h) for h in hits],
             )
         return results
-
-    # -- locality + predict ----------------------------------------------
-
-    def address_value_locality(self, workload: Workload, scale: float,
-                               ddt_config: Optional[DDTConfig] = None,
-                               tee: Optional[Callable[[DynInst], None]] = None,
-                               max_instructions: Optional[int] = None
-                               ) -> AddressValueLocalityAnalysis:
-        config = ddt_config if ddt_config is not None else DDTConfig(size=128)
-        table = self.table(workload, scale, max_instructions)
-        if tee is not None:
-            # predict stage: replay per-instruction consumers verbatim
-            for inst in table.to_dyninsts():
-                tee(inst)
-        if not _is_default_config(config):
-            return AddressValueLocalityAnalysis(config).run(table.to_dyninsts())
-
-        mem = np.nonzero(table.is_mem)[0]
-        is_store = table.is_store[mem]
-        kind, _ = ddt_dependences(
-            table.word_addr()[mem], is_store, [config.size])[config.size]
-
-        load_rows = mem[~is_store]           # trace positions of loads
-        kind = kind[~is_store]               # detected-dependence bucket
-        pc = table.pc[load_rows]
-        prev, _, _, _ = group_links(pc)      # previous execution per static pc
-        seen = prev >= 0
-        prev_row = np.clip(prev, 0, None)
-
-        addr = table.addr[load_rows]
-        addr_match = seen & (addr[prev_row] == addr)
-
-        value = table.value[load_rows]
-        prev_value = value[prev_row]
-        value_match = seen & _IS_NOT_NONE(prev_value).astype(bool) \
-            & np.asarray(prev_value == value, dtype=bool)
-
-        analysis = AddressValueLocalityAnalysis(config)
-        analysis.address = self._breakdown(addr_match, kind)
-        analysis.value = self._breakdown(value_match, kind)
-        return analysis
-
-    @staticmethod
-    def _breakdown(match: np.ndarray, kind: np.ndarray) -> LocalityBreakdown:
-        return LocalityBreakdown(
-            loads=int(match.size),
-            local_raw=int(np.count_nonzero(match & (kind == KIND_RAW))),
-            local_rar=int(np.count_nonzero(match & (kind == KIND_RAR))),
-            local_nodep=int(np.count_nonzero(match & (kind == 0))),
-        )
 
 
 # re-exported for the differential checker's golden side

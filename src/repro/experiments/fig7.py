@@ -58,8 +58,8 @@ def run(scale: float = 1.0, workloads: Optional[Sequence[str]] = None,
     rows = []
     sim = get_backend(backend)
     for workload in select_workloads(workloads):
-        # the locality stage may be vectorized; the cloaking engine (the
-        # predict stage) always sees the per-instruction stream via ``tee``
+        # the cloaking engine (the predict stage) sees the same
+        # per-instruction stream as the locality analysis, via ``tee``
         engine = CloakingEngine(CloakingConfig.paper_accuracy())
         analysis = sim.address_value_locality(workload, scale,
                                               tee=engine.observe)

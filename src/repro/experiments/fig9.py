@@ -22,8 +22,13 @@ from repro.experiments.runner import (
     maybe_write_json,
     select_workloads,
 )
-from repro.pipeline import CloakedProcessor, Processor, ProcessorConfig, RecoveryPolicy
-from repro.trace.sampling import TIMING
+from repro.pipeline import (
+    CloakedProcessor,
+    Processor,
+    ProcessorConfig,
+    RecoveryPolicy,
+    drive,
+)
 from repro.util.stats import harmonic_mean_speedup
 
 CONFIGS: Tuple[Tuple[str, CloakingMode, RecoveryPolicy], ...] = (
@@ -55,19 +60,8 @@ def _simulate_workload(workload, scale: float,
         )
         for label, mode, recovery in configs
     }
-    machines = [base] + list(cloaked.values())
-    plan = workload.sampling_plan()
-    trace = workload.trace(scale=scale)
-    if plan.enabled:
-        for segment in plan.segments(trace):
-            timing = segment.mode == TIMING
-            for inst in segment.instructions:
-                for machine in machines:
-                    machine.feed(inst, timing=timing)
-    else:
-        for inst in trace:
-            for machine in machines:
-                machine.feed(inst)
+    drive([base] + list(cloaked.values()), workload.trace(scale=scale),
+          workload.sampling_plan())
     base_result = base.finalize(workload.abbrev)
     return SpeedupRow(
         abbrev=workload.abbrev,

@@ -107,6 +107,19 @@ class ExecutionBackend(ABC):
             attempts=attempts, error=error)
 
 
+def stop_process(proc, grace: float) -> None:
+    """Terminate a child process, escalating to SIGKILL if it will not die.
+
+    ``join`` after a plain ``terminate`` hangs forever on a child that
+    ignores SIGTERM; SIGKILL cannot be ignored.
+    """
+    proc.terminate()
+    proc.join(grace)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+
+
 def make_pending(specs, start_attempt: int = 1) -> "deque[PendingEntry]":
     """A pending deque for ``specs``, all immediately runnable."""
     return deque((spec, start_attempt, 0.0) for spec in specs)

@@ -18,7 +18,11 @@ import time
 import traceback
 from typing import List
 
-from repro.harness.backends.base import ExecutionBackend, RunState
+from repro.harness.backends.base import (
+    ExecutionBackend,
+    RunState,
+    stop_process,
+)
 from repro.harness.jobs import JobSpec, execute_job
 from repro.harness.manifest import STATUS_COMPUTED
 from repro.harness.store import ResultStore
@@ -101,19 +105,7 @@ class ForkBackend(ExecutionBackend):
                 active = still_active
         finally:
             for attempt in active:
-                self._stop_worker(attempt.proc)
-
-    def _stop_worker(self, proc) -> None:
-        """Terminate a worker, escalating to SIGKILL if it will not die.
-
-        ``join`` after a plain ``terminate`` hangs forever on a worker
-        that ignores SIGTERM; SIGKILL cannot be ignored.
-        """
-        proc.terminate()
-        proc.join(self.config.term_grace)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
+                stop_process(attempt.proc, self.config.term_grace)
 
     def _reap(self, state: RunState, attempt: _Attempt) -> bool:
         """Check one in-flight attempt; True when it has been resolved."""
@@ -148,7 +140,7 @@ class ForkBackend(ExecutionBackend):
             return True
         if (self.config.timeout is not None
                 and time.time() - attempt.started > self.config.timeout):
-            self._stop_worker(attempt.proc)
+            stop_process(attempt.proc, self.config.term_grace)
             attempt.conn.close()
             self.fail(state, spec, key, attempt.attempts,
                       f"timed out after {self.config.timeout:g}s",

@@ -19,7 +19,11 @@ import multiprocessing
 import time
 from typing import List, Optional
 
-from repro.harness.backends.base import ExecutionBackend, RunState
+from repro.harness.backends.base import (
+    ExecutionBackend,
+    RunState,
+    stop_process,
+)
 from repro.harness.jobs import JobSpec
 from repro.harness.manifest import STATUS_COMPUTED, STATUS_FAILED
 from repro.harness.queue import DEFAULT_LEASE_TTL, JobQueue
@@ -108,11 +112,7 @@ class WorkerBackend(ExecutionBackend):
         for proc in procs:
             proc.join(self.config.term_grace)
             if proc.is_alive():
-                proc.terminate()
-                proc.join(self.config.term_grace)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
+                stop_process(proc, self.config.term_grace)
 
     # -- result collection ----------------------------------------------
 

@@ -19,7 +19,7 @@ the two misspeculation recovery schemes of Section 5.6.1.
 """
 
 from repro.pipeline.config import ProcessorConfig
-from repro.pipeline.processor import Processor, SimResult
+from repro.pipeline.processor import Processor, SimResult, drive
 from repro.pipeline.cloaked_processor import CloakedProcessor
 from repro.pipeline.recovery import RecoveryPolicy
 from repro.pipeline.store_sets import StoreSetPredictor
@@ -28,6 +28,7 @@ __all__ = [
     "ProcessorConfig",
     "Processor",
     "SimResult",
+    "drive",
     "CloakedProcessor",
     "RecoveryPolicy",
     "StoreSetPredictor",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, Optional
+from typing import Deque, Iterable, Optional, Sequence
 
 from repro.isa.instructions import OpClass, latency_of
 from repro.isa.registers import NUM_REGS
@@ -59,6 +59,26 @@ class SimResult:
         return base.cycles / self.cycles
 
 
+def drive(machines: Sequence["Processor"], trace: Iterable[DynInst],
+          sampling: Optional[SamplingPlan] = None) -> None:
+    """Feed one committed instruction stream to every machine in order.
+
+    With an enabled :class:`SamplingPlan`, functional segments update
+    caches and branch predictors only (the paper's sampling scheme);
+    timing segments, and the whole stream otherwise, are fully simulated.
+    """
+    if sampling is not None and sampling.enabled:
+        for segment in sampling.segments(trace):
+            timing = segment.mode == TIMING
+            for inst in segment.instructions:
+                for machine in machines:
+                    machine.feed(inst, timing=timing)
+    else:
+        for inst in trace:
+            for machine in machines:
+                machine.feed(inst)
+
+
 class Processor:
     """Trace-driven, dataflow-timed model of the Section 5.1 base machine.
 
@@ -92,18 +112,9 @@ class Processor:
             name: str = "") -> SimResult:
         """Simulate a committed instruction stream; returns the result.
 
-        With a :class:`SamplingPlan`, functional segments update caches and
-        branch predictors only (the paper's sampling scheme); timing
-        segments are fully simulated.
+        ``sampling`` is applied as :func:`drive` describes.
         """
-        if sampling is not None and sampling.enabled:
-            for segment in sampling.segments(trace):
-                timing = segment.mode == TIMING
-                for inst in segment.instructions:
-                    self.feed(inst, timing=timing)
-        else:
-            for inst in trace:
-                self._time_instruction(inst)
+        drive([self], trace, sampling)
         return self.finalize(name)
 
     def feed(self, inst: DynInst, timing: bool = True) -> None:

@@ -327,3 +327,25 @@ class TestBackendParity:
             got = get_backend("numpy").dependence_pairs(
                 workload, 0.02, config)
             assert want == got
+
+    def test_inherited_queries_interpret_without_materializing(self):
+        """Figure 7 and non-default DDT configs run the reference code
+        on a fresh interpretation: the table cache stays empty."""
+        from repro.columnar import batch
+        from tests.test_columnar_parity import FALLBACK_CONFIGS
+
+        workload = get_workload("go")
+        numpy_backend = get_backend("numpy")
+        clear_trace_cache()
+        try:
+            teed = []
+            numpy_backend.address_value_locality(workload, 0.02,
+                                                 tee=teed.append)
+            assert teed
+            for config in FALLBACK_CONFIGS.values():
+                numpy_backend.address_value_locality(workload, 0.02,
+                                                     ddt_config=config)
+                numpy_backend.dependence_pairs(workload, 0.02, config)
+            assert not batch._TRACE_CACHE
+        finally:
+            clear_trace_cache()

@@ -7,7 +7,9 @@ Paper means (selective): RAW +4.28% INT / +3.20% FP; RAW+RAR +6.44% INT /
 +4.66% FP; squash invalidation rarely yields improvements.
 
 All five machines (base + four cloaked) observe a single trace pass per
-workload, using each program's Table 5.1 sampling plan.
+workload, using each program's Table 5.1 sampling plan, and share one
+:class:`~repro.pipeline.TraceAnnotator`: one branch predictor for all
+five, and one cloaking engine per mode for the two recovery policies.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.pipeline import (
     Processor,
     ProcessorConfig,
     RecoveryPolicy,
+    TraceAnnotator,
     drive,
 )
 from repro.util.stats import harmonic_mean_speedup
@@ -51,12 +54,14 @@ def _simulate_workload(workload, scale: float,
                        processor_config: ProcessorConfig,
                        configs=CONFIGS) -> SpeedupRow:
     """One trace pass drives the base machine and every cloaked variant."""
-    base = Processor(processor_config)
+    annotator = TraceAnnotator(processor_config)
+    base = Processor(processor_config, annotator)
     cloaked = {
         label: CloakedProcessor(
             processor_config,
             cloaking=CloakingConfig.paper_timing(mode),
             recovery=recovery,
+            annotator=annotator,
         )
         for label, mode, recovery in configs
     }

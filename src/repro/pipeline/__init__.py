@@ -16,8 +16,12 @@ the bubble cost — the dominant effect — is preserved).
 :class:`~repro.pipeline.cloaked_processor.CloakedProcessor` adds the
 cloaking/bypassing mechanism with the Figure 8 pipeline integration and
 the two misspeculation recovery schemes of Section 5.6.1.
+:class:`~repro.pipeline.annotator.TraceAnnotator` holds the state that
+does not depend on timing — branch predictors and cloaking engines — so
+that machines fed one trace can share it.
 """
 
+from repro.pipeline.annotator import TraceAnnotator
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import Processor, SimResult, drive
 from repro.pipeline.cloaked_processor import CloakedProcessor
@@ -32,4 +36,5 @@ __all__ = [
     "CloakedProcessor",
     "RecoveryPolicy",
     "StoreSetPredictor",
+    "TraceAnnotator",
 ]

@@ -25,10 +25,11 @@ synonym → value-availability-time map plays the role of the SRT/SF pair:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
-from repro.core.cloaking import CloakingEngine
 from repro.core.config import CloakingConfig
+from repro.isa.instructions import MEMORY_CLASSES
+from repro.pipeline.annotator import TraceAnnotator
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import Processor
 from repro.pipeline.recovery import RecoveryPolicy
@@ -36,7 +37,12 @@ from repro.trace.records import DynInst
 
 
 class CloakedProcessor(Processor):
-    """The base machine plus cloaking/bypassing."""
+    """The base machine plus cloaking/bypassing.
+
+    The engine comes from the annotator, so machines sharing one and
+    configured with equal ``cloaking`` share one engine (see
+    :mod:`repro.pipeline.annotator`).
+    """
 
     #: rescheduling penalty (cycles) for selectively re-executed consumers
     SELECTIVE_PENALTY = 1
@@ -46,9 +52,11 @@ class CloakedProcessor(Processor):
         config: ProcessorConfig = ProcessorConfig(),
         cloaking: CloakingConfig = CloakingConfig(),
         recovery: RecoveryPolicy = RecoveryPolicy.SELECTIVE,
+        annotator: Optional[TraceAnnotator] = None,
     ) -> None:
-        super().__init__(config)
-        self.engine = CloakingEngine(cloaking)
+        super().__init__(config, annotator)
+        self._cloaking = self.annotator.cloaking(cloaking)
+        self.engine = self._cloaking.engine
         self.recovery = recovery
         self._synonym_value_time: Dict[int, int] = {}
         self.speculations_used = 0
@@ -57,13 +65,13 @@ class CloakedProcessor(Processor):
     # -- hooks ----------------------------------------------------------------
 
     def _store_hook(self, inst: DynInst, data_time: int) -> None:
-        observed = self.engine.observe_timing(inst)
+        observed = self._cloaking.observe(inst)
         if observed is not None and observed.producer_synonym is not None:
             self._synonym_value_time[observed.producer_synonym] = data_time
 
     def _load_value_time(self, inst: DynInst, dispatch: int,
                          value_time: int) -> int:
-        observed = self.engine.observe_timing(inst)
+        observed = self._cloaking.observe(inst)
         outcome = observed.outcome
         effective = value_time
 
@@ -97,8 +105,8 @@ class CloakedProcessor(Processor):
 
     def _warm_instruction(self, inst: DynInst) -> None:
         super()._warm_instruction(inst)
-        if inst.is_load or inst.is_store:
-            observed = self.engine.observe_timing(inst)
+        if inst.opclass in MEMORY_CLASSES:
+            observed = self._cloaking.observe(inst)
             if observed is not None and observed.producer_synonym is not None:
                 # Values deposited during functional simulation are simply
                 # "available" when timing resumes.
@@ -122,11 +130,6 @@ class CloakedProcessor(Processor):
             "misspeculations": self.misspeculations,
         })
         return result
-
-    @property
-    def misspeculation_rate(self) -> float:
-        stats = self.engine.stats
-        return stats.misspeculation_rate
 
     def describe(self) -> str:
         return (f"CloakedProcessor(mode={self.engine.config.mode.value}, "

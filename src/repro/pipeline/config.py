@@ -46,9 +46,6 @@ class ProcessorConfig:
     # global issue width and LSQ bandwidth binding.
     fu_limits: Dict[OpClass, int] = field(default_factory=dict)
 
-    def fu_limit(self, opclass: OpClass) -> int:
-        return self.fu_limits.get(opclass, self.issue_width)
-
     def __post_init__(self) -> None:
         for name in ("fetch_width", "issue_width", "commit_width",
                      "window_size", "frontend_depth", "lsq_size", "lsq_width"):

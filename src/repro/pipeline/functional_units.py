@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.isa.instructions import OpClass
 from repro.pipeline.config import ProcessorConfig
@@ -14,31 +14,37 @@ class IssueBandwidth:
     ``allocate(earliest, opclass)`` returns the first cycle at or after
     ``earliest`` with both a free global issue slot and a free slot of the
     instruction's functional-unit class.
+
+    A class whose limit is at least the issue width can never bind (it
+    cannot issue more per cycle than all classes together), so only
+    classes with a smaller limit are counted.
     """
 
     def __init__(self, config: ProcessorConfig) -> None:
-        self._config = config
+        self._width = config.issue_width
         self._global: Dict[int, int] = {}
-        self._per_class: Dict[OpClass, Dict[int, int]] = {}
+        self._binding: Dict[OpClass, Tuple[int, Dict[int, int]]] = {
+            opclass: (limit, {})
+            for opclass, limit in config.fu_limits.items()
+            if limit < config.issue_width
+        }
 
     def allocate(self, earliest: int, opclass: OpClass) -> int:
-        width = self._config.issue_width
-        class_limit = self._config.fu_limit(opclass)
-        class_counts = self._per_class.get(opclass)
-        if class_counts is None:
-            class_counts = self._per_class[opclass] = {}
+        width = self._width
+        used = self._global
         cycle = earliest
-        while True:
-            if self._global.get(cycle, 0) < width \
-                    and class_counts.get(cycle, 0) < class_limit:
-                self._global[cycle] = self._global.get(cycle, 0) + 1
-                class_counts[cycle] = class_counts.get(cycle, 0) + 1
-                return cycle
-            cycle += 1
-
-    def reset(self) -> None:
-        self._global.clear()
-        self._per_class.clear()
+        binding = self._binding.get(opclass)
+        if binding is None:
+            while used.get(cycle, 0) >= width:
+                cycle += 1
+        else:
+            limit, class_counts = binding
+            while used.get(cycle, 0) >= width \
+                    or class_counts.get(cycle, 0) >= limit:
+                cycle += 1
+            class_counts[cycle] = class_counts.get(cycle, 0) + 1
+        used[cycle] = used.get(cycle, 0) + 1
+        return cycle
 
 
 class BandwidthLimiter:
@@ -57,6 +63,3 @@ class BandwidthLimiter:
             cycle += 1
         counts[cycle] = counts.get(cycle, 0) + 1
         return cycle
-
-    def reset(self) -> None:
-        self._counts.clear()

@@ -103,10 +103,3 @@ class LoadStoreScheduler:
     def commit_store(self, byte_addr: int, commit_time: int) -> None:
         """Update cache state when a store leaves the window."""
         self.hierarchy.store(byte_addr, commit_time)
-
-    def reset(self) -> None:
-        self._ports.reset()
-        self._store_info.clear()
-        self._store_addr_frontier = 0
-        if self.store_sets is not None:
-            self.store_sets.clear()

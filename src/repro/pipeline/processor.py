@@ -6,15 +6,20 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Iterable, Optional, Sequence
 
-from repro.isa.instructions import OpClass, latency_of
+from repro.isa.instructions import CONTROL_CLASSES, OpClass, latency_of
 from repro.isa.registers import NUM_REGS
 from repro.memsys.hierarchy import MemoryHierarchy
+from repro.pipeline.annotator import TraceAnnotator
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.functional_units import BandwidthLimiter, IssueBandwidth
 from repro.pipeline.lsq import LoadStoreScheduler
-from repro.predictors.branch import CombinedPredictor, ReturnAddressStack
 from repro.trace.records import DynInst
 from repro.trace.sampling import TIMING, SamplingPlan
+
+# Enum member lookups are slow next to a global read; the per-instruction
+# paths compare against these.
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
 
 
 @dataclass
@@ -84,13 +89,23 @@ class Processor:
 
     Feed the committed instruction stream to :meth:`run`.  Subclasses hook
     :meth:`_load_value_time` to integrate value-speculative mechanisms.
+
+    Branch prediction comes from ``annotator``; machines fed one trace in
+    lockstep may share a :class:`TraceAnnotator` so that its predictors
+    advance once per instruction for all of them.  By default each
+    machine builds its own.
     """
 
-    def __init__(self, config: ProcessorConfig = ProcessorConfig()) -> None:
+    def __init__(self, config: ProcessorConfig = ProcessorConfig(),
+                 annotator: Optional[TraceAnnotator] = None) -> None:
+        if annotator is None:
+            annotator = TraceAnnotator(config)
+        elif not annotator.serves(config):
+            raise ValueError("the shared annotator was built for another "
+                             "branch predictor or RAS size")
         self.config = config
+        self.annotator = annotator
         self.hierarchy = MemoryHierarchy(config.memory)
-        self.branch_predictor = CombinedPredictor(config.branch_predictor_entries)
-        self.ras = ReturnAddressStack(config.ras_depth)
         self.lsq = LoadStoreScheduler(config, self.hierarchy)
         self._issue = IssueBandwidth(config)
         self._commit_bw = BandwidthLimiter(config.commit_width)
@@ -102,7 +117,8 @@ class Processor:
         self._redirect = 0
         self._last_fetch_block = -1
         self._final_cycle = 0
-        self._icache_block_bytes = config.memory.l1i.block_bytes
+        self._icache_block_shift = \
+            config.memory.l1i.block_bytes.bit_length() - 1
         self.result = SimResult()
 
     # -- public driver -------------------------------------------------------
@@ -141,11 +157,11 @@ class Processor:
         result.timing_instructions += 1
 
         # ---- fetch ----
-        fetch = max(self._fetch_cycle, self._redirect)
-        if fetch > self._fetch_cycle:
-            self._fetch_cycle = fetch
+        fetch = self._fetch_cycle
+        if self._redirect > fetch:
+            fetch = self._fetch_cycle = self._redirect
             self._fetch_count = 0
-        block = inst.pc >> (self._icache_block_bytes.bit_length() - 1)
+        block = inst.pc >> self._icache_block_shift
         if block != self._last_fetch_block:
             self._last_fetch_block = block
             latency = self.hierarchy.fetch(inst.pc, fetch)
@@ -169,7 +185,7 @@ class Processor:
         # ---- issue ----
         ready = dispatch + 1
         cls = inst.opclass
-        if cls == OpClass.STORE and len(inst.srcs) > 1:
+        if cls is _STORE and len(inst.srcs) > 1:
             # A store issues (and posts its address) as soon as its BASE
             # register is ready; the data register may arrive later and is
             # posted out of order (Section 5.1, rules 3/4).
@@ -180,10 +196,10 @@ class Processor:
             avail = self._reg_avail[src]
             if avail > ready:
                 ready = avail
-        issue = self._issue.allocate(ready, inst.opclass)
+        issue = self._issue.allocate(ready, cls)
 
         # ---- execute / memory ----
-        if cls == OpClass.LOAD:
+        if cls is _LOAD:
             addr_time = issue + config.operand_read_cycles
             value_time = self.lsq.schedule_load(
                 inst.pc, inst.word_addr, inst.addr, addr_time)
@@ -195,7 +211,7 @@ class Processor:
                 self._reg_avail[inst.rd] = consumer_time
             complete = value_time
             result.loads += 1
-        elif cls == OpClass.STORE:
+        elif cls is _STORE:
             addr_time = issue + config.operand_read_cycles
             # Stores normally carry (base, data) sources; tolerate synthetic
             # records without a data register (value ready at issue).
@@ -209,36 +225,23 @@ class Processor:
             complete = issue + latency_of(cls)
             if inst.rd is not None:
                 self._reg_avail[inst.rd] = complete
-            if inst.is_control:
-                complete = self._resolve_control(inst, complete)
+            if cls in CONTROL_CLASSES:
                 result.branches += 1
+                if not self.annotator.control_predicted(inst):
+                    result.branch_mispredicts += 1
+                    self._redirect = max(self._redirect, complete + 1)
 
         # ---- commit (in order, bounded width) ----
-        commit_ready = max(complete + 1, self._last_commit)
+        commit_ready = complete + 1
+        if commit_ready < self._last_commit:
+            commit_ready = self._last_commit
         commit = self._commit_bw.allocate(commit_ready)
         self._last_commit = commit
         self._commit_ring.append(commit)
         if commit > self._final_cycle:
             self._final_cycle = commit
-        if cls == OpClass.STORE:
+        if cls is _STORE:
             self.lsq.commit_store(inst.addr, commit)
-
-    def _resolve_control(self, inst: DynInst, resolve: int) -> int:
-        """Apply branch prediction; returns the (possibly later) resolve time."""
-        cls = inst.opclass
-        if cls == OpClass.BRANCH:
-            correct = self.branch_predictor.observe(inst.pc, inst.taken)
-            if not correct:
-                self.result.branch_mispredicts += 1
-                self._redirect = max(self._redirect, resolve + 1)
-        elif cls == OpClass.CALL:
-            self.ras.push(inst.pc + 4)
-        elif cls == OpClass.RETURN:
-            if not self.ras.predict_and_pop(inst.target_pc):
-                self.result.branch_mispredicts += 1
-                self._redirect = max(self._redirect, resolve + 1)
-        # Direct jumps and calls have decode-time targets: no penalty.
-        return resolve
 
     # -- hooks for the cloaked subclass ---------------------------------------
 
@@ -256,17 +259,14 @@ class Processor:
         """Update caches and predictors without advancing timing state."""
         self.result.instructions += 1
         now = self._final_cycle
-        block = inst.pc >> (self._icache_block_bytes.bit_length() - 1)
+        block = inst.pc >> self._icache_block_shift
         if block != self._last_fetch_block:
             self._last_fetch_block = block
             self.hierarchy.fetch(inst.pc, now)
-        if inst.is_load:
+        cls = inst.opclass
+        if cls is _LOAD:
             self.hierarchy.load(inst.addr, now)
-        elif inst.is_store:
+        elif cls is _STORE:
             self.hierarchy.store(inst.addr, now)
-        elif inst.opclass == OpClass.BRANCH:
-            self.branch_predictor.observe(inst.pc, inst.taken)
-        elif inst.opclass == OpClass.CALL:
-            self.ras.push(inst.pc + 4)
-        elif inst.opclass == OpClass.RETURN:
-            self.ras.predict_and_pop(inst.target_pc)
+        elif cls in CONTROL_CLASSES:
+            self.annotator.control_predicted(inst)

@@ -153,11 +153,3 @@ class CloakingConfig:
         if sets is None:
             return None
         return hash(pc) & (sets - 1)
-
-    @property
-    def sf_sets(self) -> Optional[int]:
-        """Number of synonym-file sets, or None when infinite / fully
-        associative."""
-        if self.sf_entries is None or self.sf_ways <= 0:
-            return None
-        return self.sf_entries // self.sf_ways

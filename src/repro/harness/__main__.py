@@ -65,7 +65,7 @@ def _parser() -> argparse.ArgumentParser:
                      help="execution backend (default: inline when "
                           "--workers 0, else fork); 'worker' drains a "
                           "persistent job queue with --workers local "
-                          "workers plus any external ones")
+                          "slots plus any external workers")
     run.add_argument("--workers", type=int, default=None,
                      help="worker processes (default: cpu count; "
                           "0 = run inline)")
@@ -110,7 +110,7 @@ def _parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "worker", help="run a standalone queue worker: lease jobs, "
-                       "execute them, write results to the store")
+                       "run each in a forked child, store the results")
     worker.add_argument("--queue", required=True, metavar="DIR")
     worker.add_argument("--store", required=True, metavar="DIR")
     worker.add_argument("--retries", type=int, default=1,

@@ -89,7 +89,7 @@ def run_artefacts(requests: Sequence[tuple],
     ``worker``); the default follows ``workers`` — inline when 0, fork
     otherwise.  The ``worker`` backend drains a persistent job queue
     (``queue_dir``, default ``<store>/queue``) with ``workers`` local
-    worker processes; external ``python -m repro.harness worker``
+    per-job children; external ``python -m repro.harness worker``
     processes sharing the directories join the same drain.
     """
     normalized: List[ArtefactRequest] = []

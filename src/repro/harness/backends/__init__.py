@@ -7,8 +7,11 @@ and the manifest; a backend owns execution placement:
 * ``fork``   — one crash-isolated forked child per job, with timeout,
   SIGTERM→SIGKILL escalation and bounded retry (``workers>=1``).
 * ``worker`` — jobs are serialized into a persistent leased work queue
-  and drained by N worker processes, on this host or any host sharing
-  the store directory.
+  and drained by the same per-job child pool (``workers`` slots) plus
+  any external workers on hosts sharing the store directory.
+
+``fork.run_pool`` is the only place the harness starts processes; the
+two parallel backends differ only in where its jobs come from.
 
 All three produce byte-identical reports for the same grid — the rows
 travel through the same store serialization and are recomposed in the
@@ -23,7 +26,6 @@ from repro.harness.backends.base import (
     BackendConfig,
     ExecutionBackend,
     RunState,
-    make_pending,
     retry_backoff_delay,
 )
 
@@ -58,6 +60,5 @@ __all__ = [
     "ExecutionBackend",
     "RunState",
     "make_backend",
-    "make_pending",
     "retry_backoff_delay",
 ]

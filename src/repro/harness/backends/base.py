@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Tuple
 
@@ -107,6 +106,24 @@ class ExecutionBackend(ABC):
             attempts=attempts, error=error)
 
 
+class JobSource:
+    """Where ``fork.run_pool``'s jobs come from, and where their outcomes go.
+
+    ``next_job()`` returns the job to start now — any object with
+    ``spec``, ``key`` and ``attempt`` — or None.  The pool reports each
+    started job back through exactly one of ``succeeded(job, rows,
+    elapsed, pid)``, ``failed(job, error, elapsed, pid)`` or
+    ``interrupted(job)``, and returns once ``drained()`` holds with
+    nothing in flight.
+    """
+
+    #: seconds to sleep when nothing is in flight and nothing can start
+    idle = 0.01
+
+    def interrupted(self, job) -> None:
+        """The pool is unwinding with ``job`` still in flight."""
+
+
 def stop_process(proc, grace: float) -> None:
     """Terminate a child process, escalating to SIGKILL if it will not die.
 
@@ -118,8 +135,3 @@ def stop_process(proc, grace: float) -> None:
     if proc.is_alive():
         proc.kill()
         proc.join()
-
-
-def make_pending(specs, start_attempt: int = 1) -> "deque[PendingEntry]":
-    """A pending deque for ``specs``, all immediately runnable."""
-    return deque((spec, start_attempt, 0.0) for spec in specs)

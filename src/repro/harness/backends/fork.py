@@ -1,13 +1,15 @@
-"""The fork backend: one crash-isolated child process per job.
+"""The fork backend, and the harness's one process pool.
 
-Each cache-miss job runs in its own worker process (``fork`` start
-method), so a worker that dies — segfault, OOM kill, unhandled exception
-— fails exactly one cell and never takes the sweep down.  Jobs get a
-per-job wall-clock timeout; a worker that outlives it is first sent
-SIGTERM, and if it ignores that (blocked in C code, masked signals, a
-deliberate chaos hang) it is SIGKILLed after ``term_grace`` seconds — the
-sweep never blocks on an unkillable child.  Failed attempts requeue
-through the shared key-derived backoff (see ``backends.base``).
+:func:`run_pool` is the only place ``repro.harness`` creates processes.
+Each job runs in its own forked child (:func:`_worker_main`), so a child
+that dies — segfault, OOM kill, unhandled exception — fails exactly one
+job.  A child that outlives the per-job timeout is sent SIGTERM, then
+SIGKILL after ``term_grace`` seconds, so the pool never blocks on an
+unkillable child.  Jobs come from a ``backends.base.JobSource``: here
+the run's ``pending`` deque, where failed attempts requeue through the
+shared key-derived backoff; for the worker backend and ``python -m
+repro.harness worker``, the leased work queue
+(:class:`repro.harness.worker.QueueSource`).
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ import multiprocessing
 import multiprocessing.connection
 import time
 import traceback
-from typing import List
+from typing import List, NamedTuple
 
 from repro.harness.backends.base import (
+    BackendConfig,
     ExecutionBackend,
+    JobSource,
     RunState,
     stop_process,
 )
@@ -43,16 +47,134 @@ def _worker_main(spec: JobSpec, key: str, store_root, conn) -> None:
         conn.close()
 
 
-class _Attempt:
-    """Book-keeping for one in-flight worker process."""
+class _Attempt(NamedTuple):
+    job: object
+    proc: multiprocessing.Process
+    conn: multiprocessing.connection.Connection
+    started: float
 
-    def __init__(self, spec: JobSpec, key: str, attempts: int, proc, conn):
-        self.spec = spec
-        self.key = key
-        self.attempts = attempts
-        self.proc = proc
-        self.conn = conn
-        self.started = time.time()
+
+def run_pool(source: JobSource, config: BackendConfig, store_root) -> None:
+    """Run ``source``'s jobs in forked children until it is drained.
+
+    At most ``config.workers`` children are in flight; each is stopped
+    after ``config.timeout`` seconds (None: never).  On the way out —
+    an exception, or SIGTERM turned into ``SystemExit`` — every child
+    still running is stopped and its job handed back to the source.
+    """
+    ctx = multiprocessing.get_context("fork")
+    active: List[_Attempt] = []
+    try:
+        while active or not source.drained():
+            while len(active) < config.workers:
+                job = source.next_job()
+                if job is None:
+                    break
+                try:
+                    active.append(_launch(ctx, job, store_root))
+                except BaseException:
+                    source.interrupted(job)
+                    raise
+            if active:
+                multiprocessing.connection.wait(
+                    [attempt.conn for attempt in active], timeout=0.05)
+            else:
+                time.sleep(source.idle)
+            active = [attempt for attempt in active
+                      if not _reap(source, config, attempt)]
+    finally:
+        for attempt in active:
+            stop_process(attempt.proc, config.term_grace)
+            attempt.conn.close()
+            source.interrupted(attempt.job)
+
+
+def _launch(ctx, job, store_root) -> _Attempt:
+    recv, send = ctx.Pipe(duplex=False)
+    try:
+        proc = ctx.Process(target=_worker_main,
+                           args=(job.spec, job.key, store_root, send))
+        proc.start()
+        send.close()
+    except BaseException:
+        # start() can fail (fork EAGAIN, fd exhaustion); without this
+        # both pipe ends leak an fd per failed launch.  close() is
+        # idempotent, so the already-closed send end is fine here.
+        recv.close()
+        send.close()
+        raise
+    return _Attempt(job, proc, recv, time.time())
+
+
+def _reap(source: JobSource, config: BackendConfig,
+          attempt: _Attempt) -> bool:
+    """Check one in-flight attempt; True when it has been resolved."""
+    proc = attempt.proc
+    # Liveness first: a child that reports and then exits between the
+    # two checks must still count as reporting, not as dying.
+    alive = proc.is_alive()
+    if attempt.conn.poll():
+        try:
+            message = attempt.conn.recv()
+        except EOFError:
+            message = None
+        proc.join()
+    elif alive:
+        if (config.timeout is None
+                or time.time() - attempt.started <= config.timeout):
+            return False
+        stop_process(proc, config.term_grace)
+        message = ("err", f"timed out after {config.timeout:g}s")
+    else:
+        message = None
+    attempt.conn.close()
+    if message is not None and message[0] == "ok":
+        source.succeeded(attempt.job, message[1], message[2], proc.pid)
+    else:
+        error = (message[1] if message else
+                 f"worker died without reporting a result "
+                 f"(exit code {proc.exitcode})")
+        source.failed(attempt.job, error, time.time() - attempt.started,
+                      proc.pid)
+    return True
+
+
+class _PendingJob(NamedTuple):
+    spec: JobSpec
+    key: str
+    attempt: int
+
+
+class _PendingSource(JobSource):
+    """The fork backend's jobs: the run's in-memory ``pending`` deque."""
+
+    def __init__(self, backend: ExecutionBackend, state: RunState) -> None:
+        self.backend = backend
+        self.state = state
+
+    def next_job(self):
+        pending = self.state.pending
+        # Entries still backing off rotate to the back.
+        for _ in range(len(pending)):
+            spec, attempts, not_before = pending.popleft()
+            if not_before > time.time():
+                pending.append((spec, attempts, not_before))
+                continue
+            return _PendingJob(spec, self.state.keys[spec], attempts)
+        return None
+
+    def succeeded(self, job, rows, elapsed, pid) -> None:
+        self.state.results[job.spec] = rows
+        self.state.records[job.spec] = self.state.record(
+            job.spec, job.key, STATUS_COMPUTED, wall_time=elapsed,
+            worker=pid, attempts=job.attempt)
+
+    def failed(self, job, error, elapsed, pid) -> None:
+        self.backend.fail(self.state, job.spec, job.key, job.attempt,
+                          error, elapsed, worker=pid)
+
+    def drained(self) -> bool:
+        return not self.state.pending
 
 
 class ForkBackend(ExecutionBackend):
@@ -61,90 +183,5 @@ class ForkBackend(ExecutionBackend):
     name = "fork"
 
     def execute(self, state: RunState) -> None:
-        ctx = multiprocessing.get_context("fork")
         store_root = state.store.root if state.store is not None else None
-        pending = state.pending
-        active: List[_Attempt] = []
-        try:
-            while pending or active:
-                # Scan the queue once per round; entries still backing off
-                # rotate to the back without consuming a worker slot.
-                for _ in range(len(pending)):
-                    if len(active) >= self.config.workers:
-                        break
-                    spec, attempts, not_before = pending.popleft()
-                    if not_before > time.time():
-                        pending.append((spec, attempts, not_before))
-                        continue
-                    recv, send = ctx.Pipe(duplex=False)
-                    try:
-                        proc = ctx.Process(
-                            target=_worker_main,
-                            args=(spec, state.keys[spec], store_root, send))
-                        proc.start()
-                        send.close()
-                        active.append(_Attempt(spec, state.keys[spec],
-                                               attempts, proc, recv))
-                    except BaseException:
-                        # start() can fail (fork EAGAIN, fd exhaustion);
-                        # without this both pipe ends leak an fd per
-                        # failed launch.  close() is idempotent, so the
-                        # already-closed send end is fine here.
-                        recv.close()
-                        send.close()
-                        raise
-                if active:
-                    multiprocessing.connection.wait(
-                        [attempt.conn for attempt in active], timeout=0.05)
-                else:
-                    time.sleep(0.01)  # everything is backing off
-                still_active: List[_Attempt] = []
-                for attempt in active:
-                    if not self._reap(state, attempt):
-                        still_active.append(attempt)
-                active = still_active
-        finally:
-            for attempt in active:
-                stop_process(attempt.proc, self.config.term_grace)
-
-    def _reap(self, state: RunState, attempt: _Attempt) -> bool:
-        """Check one in-flight attempt; True when it has been resolved."""
-        spec, key = attempt.spec, attempt.key
-        if attempt.conn.poll():
-            try:
-                message = attempt.conn.recv()
-            except EOFError:
-                message = None
-            attempt.proc.join()
-            attempt.conn.close()
-            if message is not None and message[0] == "ok":
-                _, rows, elapsed = message
-                state.results[spec] = rows
-                state.records[spec] = state.record(
-                    spec, key, STATUS_COMPUTED, wall_time=elapsed,
-                    worker=attempt.proc.pid, attempts=attempt.attempts)
-            else:
-                error = (message[1] if message else
-                         f"worker died without reporting a result "
-                         f"(exit code {attempt.proc.exitcode})")
-                self.fail(state, spec, key, attempt.attempts, error,
-                          time.time() - attempt.started,
-                          worker=attempt.proc.pid)
-            return True
-        if not attempt.proc.is_alive():
-            attempt.conn.close()
-            self.fail(state, spec, key, attempt.attempts,
-                      f"worker died without reporting a result "
-                      f"(exit code {attempt.proc.exitcode})",
-                      time.time() - attempt.started, worker=attempt.proc.pid)
-            return True
-        if (self.config.timeout is not None
-                and time.time() - attempt.started > self.config.timeout):
-            stop_process(attempt.proc, self.config.term_grace)
-            attempt.conn.close()
-            self.fail(state, spec, key, attempt.attempts,
-                      f"timed out after {self.config.timeout:g}s",
-                      time.time() - attempt.started,
-                      worker=attempt.proc.pid)
-            return True
-        return False
+        run_pool(_PendingSource(self, state), self.config, store_root)

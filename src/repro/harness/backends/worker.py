@@ -1,50 +1,31 @@
 """The worker backend: queue-drain execution over the shared store.
 
 ``execute`` serializes every pending job into a persistent
-:class:`~repro.harness.queue.JobQueue` (default ``<store>/queue``),
-spawns ``workers`` local worker-loop processes, and waits for the queue
-to drain.  Because the queue and store are plain directories, *external*
-workers — ``python -m repro.harness worker`` on this host or any other
-host sharing the filesystem — can join the drain at any point; with
-``workers=0`` the backend spawns nothing and relies on them entirely.
-
-Results are collected back through the store (the same content-addressed
-objects any backend writes), so the recomposed report is byte-identical
-to inline and fork execution of the same grid.
+:class:`~repro.harness.queue.JobQueue` (default ``<store>/queue``) and
+drains it with the fork backend's pool over a
+:class:`~repro.harness.worker.QueueSource`: ``workers`` slots, one
+forked child per leased job, with the fork backend's crash isolation,
+timeout and kill escalation.  *External* workers (``python -m
+repro.harness worker`` on any host sharing the directories) can join the
+drain at any point; with ``workers=0`` it relies on them entirely.
+Results come back through the store, so the report is byte-identical to
+inline and fork execution of the same grid.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
 from typing import List, Optional
 
-from repro.harness.backends.base import (
-    ExecutionBackend,
-    RunState,
-    stop_process,
-)
+from repro.harness.backends.base import ExecutionBackend, RunState
+from repro.harness.backends.fork import run_pool
 from repro.harness.jobs import JobSpec
 from repro.harness.manifest import STATUS_COMPUTED, STATUS_FAILED
 from repro.harness.queue import DEFAULT_LEASE_TTL, JobQueue
-
-#: seconds between drain-progress polls in the orchestrating process
-_DRAIN_POLL = 0.05
-
-
-def _spawn_worker_main(queue_root, store_root, lease_ttl, retries,
-                       retry_backoff) -> None:
-    """Entry point of one spawned worker process (fork start method)."""
-    from repro.harness.store import ResultStore
-    from repro.harness.worker import worker_loop
-
-    worker_loop(JobQueue(queue_root, lease_ttl=lease_ttl),
-                ResultStore(store_root), retries=retries,
-                retry_backoff=retry_backoff, keep_alive=False)
+from repro.harness.worker import QueueSource
 
 
 class WorkerBackend(ExecutionBackend):
-    """Drain jobs through a leased work queue shared with N workers."""
+    """Drain jobs through a leased work queue shared with other workers."""
 
     name = "worker"
 
@@ -72,49 +53,10 @@ class WorkerBackend(ExecutionBackend):
         if not ordered:
             return
 
-        procs = self._spawn_workers(state.store.root, queue_root)
-        try:
-            self._await_drain(queue, [state.keys[spec] for spec in ordered],
-                              procs)
-        finally:
-            self._stop_workers(procs)
+        keys = [state.keys[spec] for spec in ordered]
+        run_pool(QueueSource(queue, self.config, keys=keys), self.config,
+                 state.store.root)
         self._collect(state, queue, ordered)
-
-    # -- worker fleet ----------------------------------------------------
-
-    def _spawn_workers(self, store_root, queue_root) -> list:
-        ctx = multiprocessing.get_context("fork")
-        procs = []
-        for _ in range(self.config.workers):
-            proc = ctx.Process(
-                target=_spawn_worker_main,
-                args=(queue_root, store_root, self.lease_ttl,
-                      self.config.retries, self.config.retry_backoff))
-            proc.start()
-            procs.append(proc)
-        return procs
-
-    def _await_drain(self, queue: JobQueue, keys: List[str],
-                     procs: list) -> None:
-        """Poll until every job has an outcome (or no worker remains).
-
-        With zero spawned workers the drain is expected to come from
-        external ``python -m repro.harness worker`` processes, so the
-        wait has no liveness cut-off — interrupt it if they never come.
-        """
-        while queue.remaining(keys):
-            if procs and not any(proc.is_alive() for proc in procs):
-                return  # every local worker died; collect what exists
-            time.sleep(_DRAIN_POLL)
-
-    def _stop_workers(self, procs: list) -> None:
-        """Join drained workers, escalating exactly like the fork pool."""
-        for proc in procs:
-            proc.join(self.config.term_grace)
-            if proc.is_alive():
-                stop_process(proc, self.config.term_grace)
-
-    # -- result collection ----------------------------------------------
 
     def _collect(self, state: RunState, queue: JobQueue,
                  ordered: List[JobSpec]) -> None:
@@ -125,8 +67,8 @@ class WorkerBackend(ExecutionBackend):
                 state.records[spec] = state.record(
                     spec, key, STATUS_FAILED,
                     attempts=0,
-                    error="queue drain incomplete: no worker produced a "
-                          "terminal outcome (all local workers exited)")
+                    error="queue drain incomplete: no terminal outcome "
+                          "(the job was re-enqueued during the drain)")
                 continue
             attempts = int(outcome.get("attempts", 1))
             worker = outcome.get("worker")

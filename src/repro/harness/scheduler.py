@@ -11,9 +11,10 @@ running to an :mod:`execution backend <repro.harness.backends>`:
   child per job with per-job timeout, SIGTERM→SIGKILL escalation and
   bounded retry.
 * ``worker``: jobs are serialized into a persistent leased work queue
-  (``repro.harness.queue``) and drained by worker processes — spawned
-  locally, or running standalone on any host that shares the store
-  directory (``python -m repro.harness worker``).
+  (``repro.harness.queue``) and drained by the fork backend's per-job
+  child pool — with its crash isolation and timeout — plus standalone
+  workers on any host that shares the store directory
+  (``python -m repro.harness worker``).
 
 Because rows always travel through the same store serialization and are
 recomposed in the same paper order, all backends produce byte-identical

@@ -1,30 +1,30 @@
-"""The standalone queue worker: lease, execute, store, repeat.
+"""The standalone queue worker: lease, fork, store, repeat.
 
 ``python -m repro.harness worker --queue DIR --store DIR`` runs this loop
-in any process on any host that can see the two directories.  Several
-workers drain one queue cooperatively: the lease protocol (see
-:mod:`repro.harness.queue`) guarantees a job is executed by one worker at
-a time, crashed workers' jobs are reclaimed, and results land in the
-content-addressed store under the same keys — and with byte-identical
-payloads — that inline or fork execution would produce.
-
-By default a worker exits once every queued job has a terminal outcome
-(``drain`` mode, what the worker execution backend uses); with
-``keep_alive`` it idles and keeps polling for new work, which is the
-long-running-fleet mode: start workers first, ``enqueue`` from anywhere,
-watch ``status``.
+in any process on any host that can see the two directories.  The lease
+protocol (:mod:`repro.harness.queue`) lets several workers drain one
+queue cooperatively.  A worker holds the lease while the job runs in a
+forked child of the fork backend's pool
+(:func:`repro.harness.backends.fork.run_pool`), so a job that crashes
+its process fails alone, with its exit code.  By default a worker exits
+once every queued job has a terminal outcome; with ``keep_alive`` it
+keeps polling for new work (start workers first, ``enqueue`` from
+anywhere, watch ``status``).
 """
 
 from __future__ import annotations
 
 import signal
 import time
-import traceback
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
-from repro.harness.backends.base import retry_backoff_delay
-from repro.harness.jobs import JobSpec, execute_job
+from repro.harness.backends.base import (
+    BackendConfig,
+    JobSource,
+    retry_backoff_delay,
+)
+from repro.harness.jobs import JobSpec
 from repro.harness.queue import Claim, JobQueue, default_worker_id
 from repro.harness.store import ResultStore
 
@@ -56,7 +56,75 @@ class WorkerStats:
     completed: int = 0
     failed: int = 0        # failed attempts (retryable or terminal)
     finalized: int = 0     # jobs this worker marked terminally failed
-    labels: List[str] = field(default_factory=list)
+
+
+class QueueSource(JobSource):
+    """Pool jobs leased from a :class:`JobQueue`; the drained test
+    covers ``keys`` (one run's jobs) or, when None, the whole queue.
+
+    The child puts the rows in the store before :meth:`succeeded` writes
+    the ``done`` marker, so the store is never behind the queue.
+    """
+
+    def __init__(self, queue: JobQueue, config: BackendConfig,
+                 worker_id: Optional[str] = None, *,
+                 keys: Optional[Sequence[str]] = None,
+                 poll: float = DEFAULT_POLL,
+                 max_jobs: Optional[int] = None,
+                 keep_alive: bool = False,
+                 say: Optional[Callable[[str], None]] = None) -> None:
+        self.queue = queue
+        self.config = config
+        self.stats = WorkerStats(worker_id or default_worker_id())
+        self.keys = keys
+        self.quota = max_jobs if max_jobs is not None else float("inf")
+        self.keep_alive = keep_alive
+        self.say = say or (lambda message: None)
+        self.idle = poll_delay(self.stats.worker_id, poll)
+
+    def next_job(self) -> Optional[Claim]:
+        if self.stats.claimed >= self.quota:
+            return None
+        claim = self.queue.claim(self.stats.worker_id,
+                                 max_attempts=self.config.retries + 1)
+        if claim is not None:
+            self.stats.claimed += 1
+        return claim
+
+    def succeeded(self, claim: Claim, rows, elapsed, pid) -> None:
+        self.queue.complete(claim.key, worker=claim.worker, elapsed=elapsed,
+                            attempts=claim.attempt)
+        self.stats.completed += 1
+        self.say(f"{claim.spec.label}: computed ({elapsed:.2f}s)")
+
+    def failed(self, claim: Claim, error, elapsed, pid) -> None:
+        # The terminal queue op comes first in each branch: a helper
+        # raising before it would strand the lease until TTL expiry.
+        self.stats.failed += 1
+        retries, backoff = self.config.retries, self.config.retry_backoff
+        if claim.attempt >= retries + 1:
+            self.queue.finish_failed(claim.key, error=error,
+                                     attempts=claim.attempt,
+                                     worker=claim.worker)
+            self.stats.finalized += 1
+            self.say(f"{claim.spec.label}: failed terminally "
+                     f"(attempt {claim.attempt}/{retries + 1})")
+        else:
+            self.queue.release(claim.key, error=error,
+                               not_before=time.time() + retry_backoff_delay(
+                                   claim.spec, claim.attempt, backoff))
+            # deterministic, so recomputing for the log line is exact
+            delay = retry_backoff_delay(claim.spec, claim.attempt, backoff)
+            self.say(f"{claim.spec.label}: attempt {claim.attempt} failed, "
+                     f"retry in {delay:.2f}s")
+
+    def interrupted(self, claim: Claim) -> None:
+        # the claim already counted the attempt; hand the lease back
+        self.queue.release(claim.key, error="worker interrupted mid-attempt")
+
+    def drained(self) -> bool:
+        return self.stats.claimed >= self.quota or (
+            not self.keep_alive and not self.queue.remaining(self.keys))
 
 
 def worker_loop(queue: JobQueue, store: ResultStore, *,
@@ -68,24 +136,20 @@ def worker_loop(queue: JobQueue, store: ResultStore, *,
                 keep_alive: bool = False,
                 progress: Optional[Callable[[str], None]] = None
                 ) -> WorkerStats:
-    """Drain ``queue`` into ``store``; returns this worker's tally.
+    """Drain ``queue`` into ``store``, one job (no timeout) at a time.
 
-    ``retries`` bounds attempts per job exactly like the scheduler's
-    ``--retries``: a job is tried at most ``retries + 1`` times *in
-    total, across all workers* (the attempt count travels in the queue's
-    state sidecar, so a retry on another worker still counts).  Retry
-    backoff uses the shared key-derived jitter, so the schedule is
-    reproducible no matter which worker retries.
-
-    SIGTERM — the fleet drain signal — is converted to :class:`SystemExit`
-    for the duration of the loop, so a worker killed mid-job travels the
-    interrupt path in :func:`_run_claim` and *releases its held lease*
-    on the way out instead of stranding the job until lease expiry.
+    A job is tried at most ``retries + 1`` times *in total, across all
+    workers* (the attempt count travels in the queue's state sidecar),
+    with the shared key-derived retry backoff.  SIGTERM — the fleet
+    drain signal — becomes :class:`SystemExit` for the duration of the
+    loop, so a worker stopped mid-job stops the job's child and
+    *releases its held lease* instead of stranding it until expiry.
     """
-    worker_id = worker_id or default_worker_id()
-    stats = WorkerStats(worker_id=worker_id)
-    say = progress or (lambda message: None)
-    delay = poll_delay(worker_id, poll)
+    config = BackendConfig(workers=1, retries=retries,
+                           retry_backoff=retry_backoff)
+    source = QueueSource(queue, config, worker_id, poll=poll,
+                         max_jobs=max_jobs, keep_alive=keep_alive,
+                         say=progress)
 
     def _drain(signum, frame):
         raise SystemExit(128 + signal.SIGTERM)
@@ -94,70 +158,11 @@ def worker_loop(queue: JobQueue, store: ResultStore, *,
         previous = signal.signal(signal.SIGTERM, _drain)
     except ValueError:
         previous = None  # not the main thread: rely on the caller's handler
+    from repro.harness.backends.fork import run_pool
+
     try:
-        while True:
-            claim = queue.claim(worker_id, max_attempts=retries + 1)
-            if claim is None:
-                if not keep_alive and not queue.remaining():
-                    break  # every queued job has a terminal outcome
-                time.sleep(delay)
-                continue
-            _run_claim(queue, store, claim, stats, retries, retry_backoff,
-                       say)
-            if max_jobs is not None and stats.claimed >= max_jobs:
-                break
+        run_pool(source, config, store.root)
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
-    return stats
-
-
-def _run_claim(queue: JobQueue, store: ResultStore, claim: Claim,
-               stats: WorkerStats, retries: int, retry_backoff: float,
-               say: Callable[[str], None]) -> None:
-    """Execute one leased job and record its outcome in the queue.
-
-    Every statement that can raise while the lease is held sits inside
-    the try: a ``store.put`` failure used to escape *between*
-    ``execute_job`` and ``complete`` and strand the lease until TTL
-    expiry (RS302's bug class) — now it charges the attempt and
-    releases like any other failure.
-    """
-    spec = claim.spec
-    try:
-        stats.claimed += 1
-        stats.labels.append(spec.label)
-        start = time.time()
-        rows = execute_job(spec)
-        elapsed = time.time() - start
-        store.put(claim.key, spec, rows, elapsed)
-    except (KeyboardInterrupt, SystemExit):
-        # Interrupted mid-job: hand the lease back uncharged-looking
-        # (the claim already counted the attempt) and stop the loop.
-        queue.release(claim.key, error="worker interrupted mid-attempt")
-        raise
-    except Exception:
-        # The terminal queue op is the first statement in each branch
-        # that can raise: formatting the error or deriving the backoff
-        # *before* it would strand the lease until TTL expiry if those
-        # helpers themselves failed, so they ride inside the call.
-        stats.failed += 1
-        if claim.attempt >= retries + 1:
-            queue.finish_failed(claim.key, error=traceback.format_exc(),
-                                attempts=claim.attempt, worker=claim.worker)
-            stats.finalized += 1
-            say(f"{spec.label}: failed terminally "
-                f"(attempt {claim.attempt}/{retries + 1})")
-        else:
-            queue.release(claim.key, error=traceback.format_exc(),
-                          not_before=time.time() + retry_backoff_delay(
-                              spec, claim.attempt, retry_backoff))
-            # deterministic, so recomputing for the log line is exact
-            delay = retry_backoff_delay(spec, claim.attempt, retry_backoff)
-            say(f"{spec.label}: attempt {claim.attempt} failed, "
-                f"retry in {delay:.2f}s")
-        return
-    queue.complete(claim.key, worker=claim.worker, elapsed=elapsed,
-                   attempts=claim.attempt)
-    stats.completed += 1
-    say(f"{spec.label}: computed ({elapsed:.2f}s)")
+    return source.stats

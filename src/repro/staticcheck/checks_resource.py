@@ -14,9 +14,10 @@ the worker kill drills provoke dynamically.
 
 Ownership transfer is conservative-quiet: returning the resource,
 storing it on ``self``, aliasing it, or passing it *bare* to another
-call all count as escapes and end the obligation locally (``worker_loop``
-hands its claim to ``_run_claim``; the leak check then applies inside
-``_run_claim`` via its ``Claim``-typed parameter).  Method calls *on*
+call all count as escapes and end the obligation locally
+(``QueueSource.next_job`` returns its claim to the process pool; the leak
+check then applies inside ``QueueSource.failed`` and the other callbacks
+via their ``Claim``-typed parameters).  Method calls *on*
 the resource and attribute projections (``claim.key``) are mere uses.
 """
 

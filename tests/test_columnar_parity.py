@@ -55,10 +55,10 @@ def test_workload_parity(abbrev):
 # -- the non-default-DDT fallback path -----------------------------------
 #
 # Configurations outside the vectorizable shape (split tables, ways,
-# record_all_loads, ...) take NumPyBackend's per-instruction replay
-# fallback.  It must (a) actually be the code path taken, and (b) agree
-# with the reference backend exactly — for pair sets and for the
-# Figure 7 locality breakdowns.
+# record_all_loads, ...) run the reference query NumPyBackend inherits
+# from ReferenceBackend.  It must (a) actually be the code path taken,
+# and (b) agree with the reference backend exactly — for pair sets and
+# for the Figure 7 locality breakdowns.
 
 from repro.columnar.kernels import _is_default_config
 from repro.dependence.ddt import DDTConfig

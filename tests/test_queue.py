@@ -77,6 +77,66 @@ def _drain_victim(queue_root, store_root):
                 worker_id="victim", poll=0.01)
 
 
+def _in_child(target, *args, deadline=60.0):
+    """Return ``target(*args)`` computed in a forked child.
+
+    The child leads its own process group, so the whole group — the
+    child and any process it started — is SIGKILLed afterwards.  A child
+    that dies before answering, or outlives ``deadline``, fails the test
+    instead of taking the test process down or hanging it.
+    """
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def body():
+        os.setpgrp()
+        send.send(target(*args))
+
+    proc = ctx.Process(target=body)
+    proc.start()
+    send.close()
+    try:
+        if not recv.poll(deadline):
+            pytest.fail(f"{target.__name__} still running after "
+                        f"{deadline:g}s")
+        try:
+            return recv.recv()
+        except EOFError:
+            proc.join(10)
+            pytest.fail(f"{target.__name__} died without answering "
+                        f"(exit code {proc.exitcode})")
+    finally:
+        recv.close()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.join()
+
+
+def _drain_dying_then_healthy(queue_root, store_root):
+    """Child body: ``worker_loop`` over a crashing job and a healthy one."""
+    queue, store = JobQueue(queue_root), ResultStore(store_root)
+    keys = []
+    for workload in (helpers.DYING_WORKLOAD, "li"):
+        spec = make_job("boom", workload, 1.0)
+        keys.append(store.key_for(spec))
+        queue.enqueue(spec, keys[-1])
+    stats = worker_loop(queue, store, worker_id="w1", retries=1,
+                        retry_backoff=0.01, poll=0.01)
+    return stats, [queue.outcome(key) for key in keys]
+
+
+def _hanging_worker_sweep(store_root):
+    """Child body: a worker-backend sweep with a SIGTERM-ignoring cell."""
+    outcome = run_artefacts(
+        [("boom", 1.0)], ["li", helpers.HANGING_WORKLOAD], workers=2,
+        retries=0, timeout=1.0, term_grace=0.2, backend="worker",
+        store=ResultStore(store_root), allow_failures=True)
+    return {record.workload: (record.status, record.error)
+            for record in outcome.manifest.jobs}
+
+
 class TestLeaseLifecycle:
     def test_claim_returns_the_serialized_spec(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
@@ -209,6 +269,19 @@ class TestWorkerLoop:
         assert outcome["attempts"] == 2
         assert "injected failure" in outcome["error"]
 
+    def test_crashing_job_is_finalized_and_the_loop_goes_on(
+            self, tmp_path, monkeypatch):
+        """A job that kills its process fails with its exit code; the
+        worker survives it and completes the next job."""
+        monkeypatch.setitem(ARTEFACTS, "boom", BOOM)
+        stats, (dying, healthy) = _in_child(
+            _drain_dying_then_healthy, tmp_path / "q", tmp_path / "s")
+        assert dying["status"] == "failed"
+        assert "exit code 13" in dying["error"]
+        assert dying["attempts"] == 2
+        assert healthy["status"] == "ok"
+        assert (stats.completed, stats.finalized) == (1, 1)
+
     def test_worker_exits_immediately_on_empty_queue(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
         store = ResultStore(tmp_path / "s")
@@ -333,11 +406,36 @@ class TestWorkerBackendFailures:
         assert set(failed) == {helpers.RAISING_WORKLOAD,
                                helpers.DYING_WORKLOAD}
         assert "injected failure" in failed[helpers.RAISING_WORKLOAD].error
-        assert ("retry budget exhausted"
-                in failed[helpers.DYING_WORKLOAD].error)
+        assert "exit code 13" in failed[helpers.DYING_WORKLOAD].error
         assert [r.abbrev for r in outcome.rows("boom")] == ["li", "com"]
         assert outcome.runs[0].failed == [helpers.RAISING_WORKLOAD,
                                           helpers.DYING_WORKLOAD]
+
+    def test_one_crash_fails_one_cell(self, tmp_path):
+        """A single-slot drain survives a cell that kills its process:
+        that cell fails with its exit code, every other cell computes."""
+        healthy = ["li", "com", "swm", "tom", "ijp", "vor"]
+        outcome = run_artefacts(
+            [("boom", 1.0)], [helpers.DYING_WORKLOAD] + healthy,
+            workers=1, retries=0, backend="worker",
+            store=ResultStore(tmp_path), allow_failures=True)
+        records = {record.workload: record
+                   for record in outcome.manifest.jobs}
+        dying = records.pop(helpers.DYING_WORKLOAD)
+        assert dying.status == STATUS_FAILED
+        assert "exit code 13" in dying.error
+        assert {workload: record.status
+                for workload, record in records.items()} == {
+                    workload: STATUS_COMPUTED for workload in healthy}
+
+    def test_timeout_stops_a_hanging_cell(self, tmp_path):
+        """``timeout`` holds on the worker backend too: a cell ignoring
+        SIGTERM is killed and failed, the healthy cell computes."""
+        records = _in_child(_hanging_worker_sweep, tmp_path, deadline=30.0)
+        status, error = records[helpers.HANGING_WORKLOAD]
+        assert status == STATUS_FAILED
+        assert "timed out" in error
+        assert records["li"] == (STATUS_COMPUTED, None)
 
 
 # ---------------------------------------------------------------------------
